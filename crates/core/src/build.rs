@@ -6,7 +6,7 @@
 //! client hook will run, every instruction is decoded to Level 3.
 
 use rio_ia32::decode::{decode_instr, decode_opcode};
-use rio_ia32::{DecodeError, Instr, InstrList};
+use rio_ia32::{DecodeError, Instr, InstrList, Opcode};
 use rio_sim::Memory;
 
 use crate::mangle::Terminator;
@@ -29,6 +29,14 @@ pub struct BuiltBlock {
 
 /// Maximum bytes fetched per instruction decode.
 const FETCH: usize = 16;
+
+/// Whether an instruction with this opcode ends a basic block: control
+/// transfers and `hlt`, and system calls (as in real DynamoRIO: the
+/// program may exit mid-syscall, so nothing after one is guaranteed to
+/// execute).
+fn ends_block(opcode: Opcode) -> bool {
+    opcode.is_cti() || opcode.is_halt() || matches!(opcode, Opcode::Int | Opcode::Int3)
+}
 
 /// Decode the basic block starting at `tag` from application memory.
 ///
@@ -67,15 +75,23 @@ pub fn decode_bb(
 
     loop {
         mem.read_bytes(pc, &mut buf);
-        let (opcode, len) = decode_opcode(&buf)?;
-        // System calls end blocks (as in real DynamoRIO): the program may
-        // exit mid-syscall, so nothing after one is guaranteed to execute.
-        let is_terminator = opcode.is_cti()
-            || opcode.is_halt()
-            || matches!(opcode, rio_ia32::Opcode::Int | rio_ia32::Opcode::Int3);
         count += 1;
 
-        if is_terminator {
+        if full_decode {
+            // One Level 3 decode per instruction; its opcode says whether
+            // it ends the block.
+            let (instr, len) = decode_instr(&buf, pc)?;
+            let ends = instr.opcode().is_some_and(ends_block);
+            il.push_back(instr);
+            pc = pc.wrapping_add(len);
+            if ends || count >= max_instrs {
+                break;
+            }
+            continue;
+        }
+
+        let (opcode, len) = decode_opcode(&buf)?;
+        if ends_block(opcode) {
             // Fully decode the block-ending instruction (Level 3).
             flush_bundle(
                 &mut il,
@@ -91,17 +107,12 @@ pub fn decode_bb(
             break;
         }
 
-        if full_decode {
-            let (instr, _) = decode_instr(&buf, pc)?;
-            il.push_back(instr);
-        } else {
-            if bundle.is_empty() {
-                bundle_start = pc;
-            }
-            bundle_last_off = bundle.len() as u32;
-            bundle.extend_from_slice(&buf[..len as usize]);
-            bundle_count += 1;
+        if bundle.is_empty() {
+            bundle_start = pc;
         }
+        bundle_last_off = bundle.len() as u32;
+        bundle.extend_from_slice(&buf[..len as usize]);
+        bundle_count += 1;
         pc = pc.wrapping_add(len);
         if count >= max_instrs {
             flush_bundle(

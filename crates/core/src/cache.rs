@@ -212,6 +212,12 @@ pub struct CodeCache {
     /// deleted, so capacity policies can count what is actually resident.
     bb_live: u32,
     trace_live: u32,
+    /// FIFO watermarks per sub-cache: every fragment of that kind with a
+    /// lower id is deleted, so the search for the oldest live one starts
+    /// here instead of rescanning every tombstone. Advanced only by
+    /// [`CodeCache::mark_deleted`].
+    bb_watermark: u32,
+    trace_watermark: u32,
 }
 
 /// Address-space slice per thread-private cache (16 MiB bb + 16 MiB trace).
@@ -274,6 +280,14 @@ impl CodeCache {
         start
     }
 
+    /// The address the next [`CodeCache::alloc`] of `kind` will return.
+    pub fn next_alloc(&self, kind: FragmentKind) -> u32 {
+        match kind {
+            FragmentKind::BasicBlock => self.bb_next,
+            FragmentKind::Trace => self.trace_next,
+        }
+    }
+
     /// Bytes currently allocated in a sub-cache.
     pub fn used(&self, kind: FragmentKind) -> u32 {
         match kind {
@@ -303,16 +317,38 @@ impl CodeCache {
             return;
         }
         f.deleted = true;
-        match f.kind {
-            FragmentKind::BasicBlock => self.bb_live -= f.total_len,
-            FragmentKind::Trace => self.trace_live -= f.total_len,
+        let kind = f.kind;
+        let watermark = match kind {
+            FragmentKind::BasicBlock => {
+                self.bb_live -= f.total_len;
+                &mut self.bb_watermark
+            }
+            FragmentKind::Trace => {
+                self.trace_live -= f.total_len;
+                &mut self.trace_watermark
+            }
+        };
+        // Each fragment is passed at most once per kind, so the advance
+        // costs O(1) amortized per deletion.
+        while let Some(f) = self.frags.get(*watermark as usize) {
+            if f.kind == kind && !f.deleted {
+                break;
+            }
+            *watermark += 1;
         }
     }
 
     /// The oldest (lowest-id, i.e. first-emitted) live fragment of `kind`
-    /// whose id is at least `from` — the FIFO eviction candidate.
+    /// whose id is at least `from` — the FIFO eviction candidate. The scan
+    /// starts at `from` or the kind's watermark, whichever is later.
     pub fn oldest_live(&self, kind: FragmentKind, from: FragmentId) -> Option<FragmentId> {
-        self.frags[from.0 as usize..]
+        let watermark = match kind {
+            FragmentKind::BasicBlock => self.bb_watermark,
+            FragmentKind::Trace => self.trace_watermark,
+        };
+        let start = from.0.max(watermark) as usize;
+        self.frags
+            .get(start..)?
             .iter()
             .find(|f| f.kind == kind && !f.deleted)
             .map(|f| f.id)
@@ -648,6 +684,68 @@ mod tests {
         c.mark_deleted(ids[1]);
         c.mark_deleted(ids[2]);
         assert_eq!(c.oldest_live(FragmentKind::BasicBlock, FragmentId(0)), None);
+    }
+
+    #[test]
+    fn watermark_eviction_order_matches_a_linear_scan() {
+        // Random interleavings of insertions, out-of-order deletions (as
+        // SMC invalidation does) and FIFO eviction passes that skip a
+        // pinned fragment (as eviction skips the one holding eip): every
+        // victim must be the one a scan from the first record picks.
+        let linear = |c: &CodeCache, kind: FragmentKind, from: FragmentId| {
+            c.iter()
+                .skip(from.0 as usize)
+                .find(|f| f.kind == kind && !f.deleted)
+                .map(|f| f.id)
+        };
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut rnd = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..20 {
+            let mut c = CodeCache::new();
+            let mut victims = 0;
+            for _ in 0..600 {
+                let kind = if rnd(3) == 0 {
+                    FragmentKind::Trace
+                } else {
+                    FragmentKind::BasicBlock
+                };
+                match rnd(10) {
+                    0..=4 => {
+                        let s = c.alloc(kind, 16);
+                        c.insert(dummy_frag(s, kind, s));
+                    }
+                    5 | 6 if !c.is_empty() => {
+                        c.mark_deleted(FragmentId(rnd(c.len() as u64) as u32))
+                    }
+                    _ => {
+                        let pinned = FragmentId(rnd(c.len() as u64 + 1) as u32);
+                        let mut cursor = FragmentId(0);
+                        for _ in 0..rnd(6) {
+                            let got = c.oldest_live(kind, cursor);
+                            assert_eq!(got, linear(&c, kind, cursor));
+                            let Some(id) = got else { break };
+                            cursor = FragmentId(id.0 + 1);
+                            if id != pinned {
+                                c.mark_deleted(id);
+                                victims += 1;
+                            }
+                        }
+                    }
+                }
+                for k in [FragmentKind::BasicBlock, FragmentKind::Trace] {
+                    assert_eq!(
+                        c.oldest_live(k, FragmentId(0)),
+                        linear(&c, k, FragmentId(0))
+                    );
+                }
+            }
+            assert!(victims > 0);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rio_ia32::encode::encode_list;
+use rio_ia32::encode::ListLayout;
 use rio_ia32::{create, EncodeError, Instr, InstrId, InstrList, Level, Opcode, Target};
 use rio_sim::{Image, Machine};
 
@@ -190,30 +190,20 @@ pub fn emit_fragment(
         }
     }
 
-    // Size, allocate, encode at the final address.
-    let sized = encode_list(&il, 0)?;
-    let total_len = sized.bytes.len() as u32;
+    // Size, encode once at the final address, then allocate: a list that
+    // fails to encode leaves the allocator untouched.
+    let layout = ListLayout::of(&il, 0)?;
+    let total_len = layout.total_len();
+    let encoded = layout.encode(&il, cache.next_alloc(kind))?;
     let start = cache.alloc(kind, total_len);
-    let encoded = encode_list(&il, start)?;
     debug_assert_eq!(encoded.bytes.len() as u32, total_len);
     machine.mem.write_bytes(start, &encoded.bytes);
     // Only the decodes overlapping the freshly written bytes can be stale;
     // emitting a fragment no longer wipes unrelated decodes.
     machine.invalidate_code_range(start, total_len);
 
-    // Instruction lengths from consecutive offsets.
     let offset_of = |id: InstrId| encoded.offset_of(id).expect("instr was encoded");
-    let len_of = |id: InstrId| -> u32 {
-        let off = offset_of(id);
-        let mut next_best = total_len;
-        for (oid, o) in &encoded.offsets {
-            if *o > off && *o < next_best {
-                next_best = *o;
-            }
-            let _ = oid;
-        }
-        next_best - off
-    };
+    let len_of = |id: InstrId| encoded.len_of(id).expect("instr was encoded");
 
     let body_len = offset_of(boundary);
 

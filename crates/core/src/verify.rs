@@ -29,7 +29,6 @@
 //!   flags proven dead (transformation safety, validating `inc2add` and
 //!   `rlr`).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rio_ia32::liveness::{effects, Liveness, RegSet};
@@ -500,35 +499,52 @@ pub(crate) fn verify_fragment(
 /// Pre-hook snapshot of an [`InstrList`]'s write effects, diffed after the
 /// hook by [`LintSnapshot::check`].
 pub(crate) struct LintSnapshot {
-    /// Per-instruction written registers and flags, keyed by id — survives
-    /// in-place edits ([`InstrList::replace`] keeps the id).
-    by_id: HashMap<u32, (RegSet, Eflags)>,
-    /// Write aggregate per application pc, for edits that re-create
-    /// instructions (fragment replacement re-decodes, so ids never match).
-    by_pc: HashMap<u32, (RegSet, Eflags)>,
+    /// Per-instruction written registers and flags, indexed by id slot —
+    /// survives in-place edits ([`InstrList::replace`] keeps the id).
+    by_id: Vec<Option<(RegSet, Eflags)>>,
+    /// Write aggregate per application pc, sorted by pc, for edits that
+    /// re-create instructions (fragment replacement re-decodes, so ids
+    /// never match).
+    by_pc: Vec<(u32, (RegSet, Eflags))>,
 }
 
 impl LintSnapshot {
     /// Record the write effects of every instruction in `il`.
     pub(crate) fn capture(il: &InstrList) -> LintSnapshot {
-        let mut by_id = HashMap::new();
-        let mut by_pc: HashMap<u32, (RegSet, Eflags)> = HashMap::new();
+        let mut by_id = Vec::new();
+        let mut writes_by_pc = Vec::new();
         for id in il.ids() {
             let instr = il.get(id);
             if instr.is_label() {
                 continue;
             }
             let e = effects(instr);
-            by_id.insert(id.raw(), (e.writes, e.flags.written));
+            let slot = id.raw() as usize;
+            if slot >= by_id.len() {
+                by_id.resize(slot + 1, None);
+            }
+            by_id[slot] = Some((e.writes, e.flags.written));
             if instr.app_pc() != 0 {
-                let agg = by_pc
-                    .entry(instr.app_pc())
-                    .or_insert((RegSet::NONE, Eflags::NONE));
-                agg.0 = agg.0.union(e.writes);
-                agg.1 = agg.1 | e.flags.written;
+                writes_by_pc.push((instr.app_pc(), e.writes, e.flags.written));
+            }
+        }
+        writes_by_pc.sort_unstable_by_key(|&(pc, _, _)| pc);
+        let mut by_pc: Vec<(u32, (RegSet, Eflags))> = Vec::with_capacity(writes_by_pc.len());
+        for (pc, regs, flags) in writes_by_pc {
+            match by_pc.last_mut() {
+                Some((last, agg)) if *last == pc => {
+                    agg.0 = agg.0.union(regs);
+                    agg.1 = agg.1 | flags;
+                }
+                _ => by_pc.push((pc, (regs, flags))),
             }
         }
         LintSnapshot { by_id, by_pc }
+    }
+
+    fn pre_by_pc(&self, pc: u32) -> Option<(RegSet, Eflags)> {
+        let i = self.by_pc.binary_search_by_key(&pc, |&(p, _)| p).ok()?;
+        Some(self.by_pc[i].1)
     }
 
     /// Diff `il` (after a client hook) against the snapshot under a fresh
@@ -582,13 +598,12 @@ impl LintSnapshot {
                 Eflags::NONE
             };
 
-            let (pre_regs, pre_flags, check) = if let Some(pre) = self.by_id.get(&id.raw()) {
+            let pre_by_id = self.by_id.get(id.raw() as usize).copied().flatten();
+            let (pre_regs, pre_flags, check) = if let Some(pre) = pre_by_id {
                 (pre.0, pre.1, Check::TransformationLint)
             } else if instr.app_pc() != 0 {
                 let pre = self
-                    .by_pc
-                    .get(&instr.app_pc())
-                    .copied()
+                    .pre_by_pc(instr.app_pc())
                     .unwrap_or((RegSet::NONE, Eflags::NONE));
                 (pre.0, pre.1, Check::TransformationLint)
             } else {

@@ -20,7 +20,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ilist::{InstrId, InstrList};
+use crate::ilist::{IdMap, InstrId, InstrList};
 use crate::instr::Instr;
 use crate::opcode::Opcode;
 use crate::opnd::{MemRef, OpSize, Opnd};
@@ -230,18 +230,29 @@ pub fn encode_instr(
     at_pc: u32,
     resolve: Resolver<'_>,
 ) -> Result<Vec<u8>, EncodeError> {
+    let mut out = Vec::with_capacity(8);
+    encode_instr_into(instr, at_pc, resolve, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_instr`], appending to `out` instead of returning a new buffer.
+fn encode_instr_into(
+    instr: &Instr,
+    at_pc: u32,
+    resolve: Resolver<'_>,
+    out: &mut Vec<u8>,
+) -> Result<(), EncodeError> {
     if instr.is_label() {
-        return Ok(Vec::new());
+        return Ok(());
     }
     if can_copy_raw(instr) {
-        return Ok(instr.raw_bytes().unwrap().to_vec());
+        out.extend_from_slice(instr.raw_bytes().unwrap());
+        return Ok(());
     }
     let Some(op) = instr.opcode() else {
         return Err(EncodeError::NotDecoded);
     };
-    let mut out = Vec::with_capacity(8);
-    encode_from_operands(instr, op, at_pc, resolve, &mut out)?;
-    Ok(out)
+    encode_from_operands(instr, op, at_pc, resolve, out)
 }
 
 fn encode_from_operands(
@@ -643,65 +654,123 @@ fn encode_from_operands(
     Ok(())
 }
 
+/// Where every instruction of an [`InstrList`] lands in its encoding: the
+/// result of a size-only pass, made before the final address is known.
+///
+/// Sizes do not depend on label addresses (synthesized direct branches use
+/// fixed rel32 forms, and a self-targeting rel8 `jecxz` is always in
+/// range), so the pass resolves every label to the branch's own address.
+/// A caller that must know the total length before choosing an address
+/// sizes once, then [`ListLayout::encode`]s once at the final address.
+#[derive(Clone, Debug)]
+pub struct ListLayout {
+    /// `(offset, length)` of every instruction, by id. Labels have the
+    /// offset of the following instruction and length 0.
+    spans: IdMap<(u32, u32)>,
+    total_len: u32,
+}
+
+impl ListLayout {
+    /// Size every instruction of `il`, as if the list started at
+    /// `start_pc`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError`] if any instruction fails to encode.
+    pub fn of(il: &InstrList, start_pc: u32) -> Result<ListLayout, EncodeError> {
+        let mut spans = IdMap::for_list(il);
+        let mut scratch = Vec::with_capacity(16);
+        let mut off = 0u32;
+        for id in il.ids() {
+            let instr = il.get(id);
+            let len = match instr.known_len() {
+                Some(l) if can_copy_raw(instr) || instr.is_label() => l,
+                _ => {
+                    let at = start_pc.wrapping_add(off);
+                    scratch.clear();
+                    encode_instr_into(instr, at, &|_| Some(at), &mut scratch)?;
+                    scratch.len() as u32
+                }
+            };
+            spans.insert(id, (off, len));
+            off += len;
+        }
+        Ok(ListLayout {
+            spans,
+            total_len: off,
+        })
+    }
+
+    /// Total encoded length in bytes.
+    pub fn total_len(&self) -> u32 {
+        self.total_len
+    }
+
+    /// Offset of instruction `id`, if it was laid out.
+    pub fn offset_of(&self, id: InstrId) -> Option<u32> {
+        self.spans.get(id).map(|(off, _)| off)
+    }
+
+    /// Encoded length of instruction `id`, if it was laid out.
+    pub fn len_of(&self, id: InstrId) -> Option<u32> {
+        self.spans.get(id).map(|(_, len)| len)
+    }
+
+    /// Encode `il` at `start_pc` into one buffer, resolving intra-list
+    /// label targets from this layout. `il` must be the list the layout
+    /// was made from; edits since may only change values whose encoding
+    /// has a fixed width (such as an imm32).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError`] if any instruction fails to encode.
+    pub fn encode(self, il: &InstrList, start_pc: u32) -> Result<EncodedList, EncodeError> {
+        let spans = &self.spans;
+        let lookup = |id: InstrId| spans.get(id).map(|(off, _)| start_pc.wrapping_add(off));
+        let mut bytes = Vec::with_capacity(self.total_len as usize);
+        for id in il.ids() {
+            let off = bytes.len() as u32;
+            debug_assert_eq!(Some(off), self.offset_of(id));
+            encode_instr_into(il.get(id), start_pc.wrapping_add(off), &lookup, &mut bytes)?;
+        }
+        debug_assert_eq!(bytes.len() as u32, self.total_len);
+        Ok(EncodedList {
+            bytes,
+            layout: self,
+        })
+    }
+}
+
 /// Result of encoding an entire [`InstrList`]: the bytes plus each
-/// instruction's offset within them.
+/// instruction's place within them.
 #[derive(Clone, Debug)]
 pub struct EncodedList {
     /// The encoded machine code.
     pub bytes: Vec<u8>,
-    /// `(id, offset)` for every instruction, in list order. Labels appear
-    /// with the offset of the following instruction.
-    pub offsets: Vec<(InstrId, u32)>,
+    layout: ListLayout,
 }
 
 impl EncodedList {
-    /// Offset of instruction `id`, if present.
+    /// Offset of instruction `id`, if present. Labels have the offset of
+    /// the following instruction.
     pub fn offset_of(&self, id: InstrId) -> Option<u32> {
-        self.offsets.iter().find(|(i, _)| *i == id).map(|(_, o)| *o)
+        self.layout.offset_of(id)
+    }
+
+    /// Encoded length of instruction `id`, if present.
+    pub fn len_of(&self, id: InstrId) -> Option<u32> {
+        self.layout.len_of(id)
     }
 }
 
-/// Encode a whole list at `start_pc`, resolving intra-list label targets.
-///
-/// Uses two passes: the first computes each instruction's size (all
-/// synthesized direct branches use fixed rel32 forms, so sizes are
-/// target-independent), the second encodes with resolved displacements.
+/// Encode a whole list at `start_pc`, resolving intra-list label targets:
+/// a size-only [`ListLayout`] pass, then one encoding pass.
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if any instruction fails to encode.
 pub fn encode_list(il: &InstrList, start_pc: u32) -> Result<EncodedList, EncodeError> {
-    // Pass 1: compute offsets. Labels resolve to the branch's own address
-    // (sizes are target-independent: synthesized direct branches use fixed
-    // rel32 forms, and a self-targeting rel8 jecxz is always in range).
-    let mut offsets: Vec<(InstrId, u32)> = Vec::with_capacity(il.len());
-    let mut off = 0u32;
-    for id in il.ids() {
-        offsets.push((id, off));
-        let instr = il.get(id);
-        let at = start_pc.wrapping_add(off);
-        let dummy = |_: InstrId| Some(at);
-        let len = match instr.known_len() {
-            Some(l) if can_copy_raw(instr) || instr.is_label() => l,
-            _ => encode_instr(instr, at, &dummy)?.len() as u32,
-        };
-        off += len;
-    }
-
-    // Pass 2: encode with real label addresses.
-    let lookup = |id: InstrId| -> Option<u32> {
-        offsets
-            .iter()
-            .find(|(i, _)| *i == id)
-            .map(|(_, o)| start_pc.wrapping_add(*o))
-    };
-    let mut bytes = Vec::with_capacity(off as usize);
-    for (id, o) in &offsets {
-        debug_assert_eq!(bytes.len() as u32, *o);
-        let enc = encode_instr(il.get(*id), start_pc.wrapping_add(*o), &lookup)?;
-        bytes.extend_from_slice(&enc);
-    }
-    Ok(EncodedList { bytes, offsets })
+    ListLayout::of(il, start_pc)?.encode(il, start_pc)
 }
 
 #[cfg(test)]
@@ -800,6 +869,50 @@ mod tests {
         ));
         let near = create::jecxz(Target::Pc(0x1010));
         assert!(encode_instr(&near, 0x1000, &no_labels).is_ok());
+    }
+
+    #[test]
+    fn offset_of_misses_a_removed_id_whose_slot_was_reused() {
+        let mut il = InstrList::new();
+        il.push_back(create::nop());
+        let gone = il.push_back(create::inc(Opnd::reg(Reg::Eax)));
+        il.push_back(create::nop());
+        let before = encode_list(&il, 0x1000).unwrap();
+        assert_eq!(before.offset_of(gone), Some(1));
+        assert_eq!(before.len_of(gone), Some(1));
+
+        il.remove(gone);
+        let reuse = il.push_back(create::add(Opnd::reg(Reg::Eax), Opnd::imm32(0x1234)));
+        assert_eq!(reuse.raw(), gone.raw()); // same slot, new generation
+        let after = encode_list(&il, 0x1000).unwrap();
+        assert_eq!(after.offset_of(gone), None);
+        assert_eq!(after.len_of(gone), None);
+        assert_eq!(after.offset_of(reuse), Some(2));
+        assert_eq!(after.len_of(reuse), Some(5)); // add eax, imm32 short form
+        assert_eq!(after.bytes.len(), 7);
+    }
+
+    #[test]
+    fn layout_then_single_encode_matches_encode_list() {
+        // Sizing at one address and encoding at another (what fragment
+        // emission does) gives the bytes a direct encode there gives.
+        let mut il = InstrList::new();
+        let top = il.push_back(Instr::label());
+        il.push_back(create::add(Opnd::reg(Reg::Eax), Opnd::imm8(1)));
+        let exit = il.push_back(create::jmp(Target::Pc(0x4000)));
+        let mut back = create::jcc(crate::Cc::Nz, Target::Pc(0));
+        back.set_target(Target::Instr(top));
+        il.push_back(back);
+        let layout = ListLayout::of(&il, 0).unwrap();
+        let total = layout.total_len();
+        let once = layout.encode(&il, 0x9000).unwrap();
+        let direct = encode_list(&il, 0x9000).unwrap();
+        assert_eq!(total as usize, once.bytes.len());
+        assert_eq!(once.bytes, direct.bytes);
+        assert_eq!(once.offset_of(exit), Some(3));
+        assert_eq!(once.len_of(exit), Some(5));
+        assert_eq!(once.offset_of(top), Some(0));
+        assert_eq!(once.len_of(top), Some(0));
     }
 
     #[test]

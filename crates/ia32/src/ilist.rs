@@ -41,6 +41,38 @@ impl fmt::Debug for InstrId {
     }
 }
 
+/// A dense map from [`InstrId`] to `V`, indexed by the id's slot and
+/// checked by its generation: an id whose slot was since reused by another
+/// instruction finds nothing. Lookups are one array index, with no hashing.
+#[derive(Clone, Debug)]
+pub(crate) struct IdMap<V> {
+    slots: Vec<Option<(u32, V)>>,
+}
+
+impl<V: Copy> IdMap<V> {
+    /// An empty map sized for the ids of `il`.
+    pub(crate) fn for_list(il: &InstrList) -> IdMap<V> {
+        IdMap {
+            slots: vec![None; il.nodes.len()],
+        }
+    }
+
+    /// Associate `v` with `id` (an id of the list the map was sized for),
+    /// replacing any value of its slot.
+    pub(crate) fn insert(&mut self, id: InstrId, v: V) {
+        self.slots[id.idx as usize] = Some((id.gen, v));
+    }
+
+    /// The value for `id`, if `id` itself (not an older or newer occupant
+    /// of its slot) was inserted.
+    pub(crate) fn get(&self, id: InstrId) -> Option<V> {
+        match self.slots.get(id.idx as usize) {
+            Some(Some((gen, v))) if *gen == id.gen => Some(*v),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Node {
     instr: Option<Instr>,

@@ -1,9 +1,10 @@
 //! Property-style sweeps driven by a deterministic xorshift PRNG (no
 //! external dependencies): decoding is the left inverse of encoding on
 //! random instruction soup, and the liveness analysis is invariant under an
-//! encode/decode round-trip of a whole list.
+//! encode/decode round-trip of a whole list, and the size-only layout pass
+//! agrees with a full encode on the same lists.
 
-use rio_ia32::encode::encode_list;
+use rio_ia32::encode::{encode_list, ListLayout};
 use rio_ia32::liveness::Liveness;
 use rio_ia32::{
     create, decode_instr, effects, encode_instr, Instr, InstrList, Level, MemRef, OpSize, Opnd,
@@ -153,6 +154,48 @@ fn liveness_is_invariant_under_encode_decode_roundtrip() {
                 il.get(*ia),
                 back.get(*ib)
             );
+        }
+    }
+}
+
+#[test]
+fn size_only_pass_matches_full_encode() {
+    let mut rng = Rng::new(0x51_2E_0F);
+    let pc = 0x40_0000;
+    for _ in 0..2_000 {
+        // The liveness sweep's random blocks, with labels and intra-list
+        // branches mixed in.
+        let mut il = InstrList::new();
+        let mut labels = vec![il.push_back(Instr::label())];
+        for _ in 0..(4 + rng.below(8)) {
+            match rng.below(6) {
+                0 => labels.push(il.push_back(Instr::label())),
+                1 => {
+                    let mut j = create::jcc(rio_ia32::Cc::Nz, Target::Pc(0));
+                    j.set_target(Target::Instr(
+                        labels[rng.below(labels.len() as u64) as usize],
+                    ));
+                    il.push_back(j);
+                }
+                _ => {
+                    il.push_back(random_instr(&mut rng));
+                }
+            }
+        }
+        il.push_back(create::jmp(Target::Pc(0x41_0000)));
+
+        let encoded = encode_list(&il, pc).expect("random block encodes");
+        let back = InstrList::decode_block(&encoded.bytes, pc, Level::L3).expect("re-decodes");
+        for list in [&il, &back] {
+            let full = encode_list(list, pc).expect("encodes");
+            for sized_at in [pc, 0] {
+                let layout = ListLayout::of(list, sized_at).expect("sizes");
+                assert_eq!(layout.total_len() as usize, full.bytes.len());
+                for id in list.ids() {
+                    assert_eq!(layout.offset_of(id), full.offset_of(id));
+                    assert_eq!(layout.len_of(id), full.len_of(id));
+                }
+            }
         }
     }
 }

@@ -96,11 +96,15 @@ fn lower(instr: &Instr, len: u32) -> Lowered {
 
 const DCACHE_BITS: usize = 15;
 const DCACHE_SIZE: usize = 1 << DCACHE_BITS;
+/// Decode-cache slots per chunk; chunks are allocated on first store.
+const DCACHE_CHUNK_BITS: usize = 6;
+const DCACHE_CHUNK: usize = 1 << DCACHE_CHUNK_BITS;
 /// Longest instruction fetch: a decode at `pc` can consume bytes up to
 /// `pc + MAX_INSTR_BYTES - 1`, so a write at `addr` can stale any decode
 /// starting as far back as `addr - MAX_INSTR_BYTES + 1`.
 const MAX_INSTR_BYTES: u32 = 16;
 
+#[derive(Clone, Copy)]
 struct DecodeCacheEntry {
     pc: u32,
     version: u64,
@@ -110,16 +114,22 @@ struct DecodeCacheEntry {
     lowered: Lowered,
 }
 
+type DecodeChunk = [Option<DecodeCacheEntry>; DCACHE_CHUNK];
+
 /// Direct-mapped software decode cache keyed by pc.
+///
+/// The `DCACHE_SIZE` slots are grouped into chunks of `DCACHE_CHUNK` that
+/// come into existence when a decode is first stored in one, so a machine
+/// that runs little code never allocates or clears the whole cache.
 struct DecodeCache {
-    entries: Vec<Option<DecodeCacheEntry>>,
+    chunks: Vec<Option<Box<DecodeChunk>>>,
     version: u64,
 }
 
 impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
-            entries: (0..DCACHE_SIZE).map(|_| None).collect(),
+            chunks: vec![None; DCACHE_SIZE / DCACHE_CHUNK],
             version: 0,
         }
     }
@@ -129,14 +139,19 @@ impl DecodeCache {
     }
 
     fn get(&self, pc: u32) -> Option<&DecodeCacheEntry> {
-        match &self.entries[Self::index(pc)] {
+        let i = Self::index(pc);
+        let chunk = self.chunks[i >> DCACHE_CHUNK_BITS].as_deref()?;
+        match &chunk[i & (DCACHE_CHUNK - 1)] {
             Some(e) if e.pc == pc && e.version == self.version => Some(e),
             _ => None,
         }
     }
 
     fn put(&mut self, pc: u32, bytes: [u8; 16], lowered: Lowered) {
-        self.entries[Self::index(pc)] = Some(DecodeCacheEntry {
+        let i = Self::index(pc);
+        let chunk = self.chunks[i >> DCACHE_CHUNK_BITS]
+            .get_or_insert_with(|| Box::new([None; DCACHE_CHUNK]));
+        chunk[i & (DCACHE_CHUNK - 1)] = Some(DecodeCacheEntry {
             pc,
             version: self.version,
             bytes,
@@ -155,7 +170,11 @@ impl DecodeCache {
     fn invalidate_range(&mut self, start: u32, end: u32) {
         let lo = start.saturating_sub(MAX_INSTR_BYTES - 1);
         for pc in lo..end {
-            let slot = &mut self.entries[Self::index(pc)];
+            let i = Self::index(pc);
+            let Some(chunk) = self.chunks[i >> DCACHE_CHUNK_BITS].as_deref_mut() else {
+                continue;
+            };
+            let slot = &mut chunk[i & (DCACHE_CHUNK - 1)];
             if matches!(slot, Some(e) if e.pc == pc) {
                 *slot = None;
             }
@@ -1323,6 +1342,46 @@ mod tests {
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 2);
+    }
+
+    #[test]
+    fn decode_cache_chunks_come_into_existence_on_first_store() {
+        let chunks = |m: &Machine| m.dcache.chunks.iter().filter(|c| c.is_some()).count();
+        let mut m = Machine::new(CpuKind::Pentium4);
+        assert_eq!(chunks(&m), 0);
+        // Invalidating never-decoded code allocates nothing.
+        m.invalidate_code_range(Image::CODE_BASE, 4096);
+        assert_eq!(chunks(&m), 0);
+
+        // A loop whose body (one-byte `inc`s) spans several chunks, each
+        // covering DCACHE_CHUNK consecutive pcs.
+        let body = 2 * DCACHE_CHUNK as u32;
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(0)));
+        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(50)));
+        let top = il.push_back(create::label());
+        for _ in 0..body {
+            il.push_back(create::inc(Opnd::reg(Reg::Eax)));
+        }
+        il.push_back(create::dec(Opnd::reg(Reg::Ebx)));
+        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
+        j.set_target(Target::Instr(top));
+        il.push_back(j);
+        il.push_back(create::hlt());
+        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.load_image(&Image::from_code(code.clone()));
+        m.set_verify_decodes(true);
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.cpu.reg(Reg::Eax), 50 * body);
+        assert_eq!(m.stale_decode_hits(), 0);
+        // Only the chunks the code maps to exist: the code spans at most
+        // `len / DCACHE_CHUNK + 1` chunks of consecutive slots, plus one if
+        // its slots wrap around the end of the cache.
+        let used = chunks(&m);
+        assert!(used >= 2, "{used}");
+        assert!(used <= code.len() / DCACHE_CHUNK + 2, "{used}");
+        assert!(used < DCACHE_SIZE / DCACHE_CHUNK);
     }
 
     #[test]

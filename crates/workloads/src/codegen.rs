@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use rio_ia32::encode::encode_list;
+use rio_ia32::encode::ListLayout;
 use rio_ia32::{create, Cc, InstrId, InstrList, MemRef, OpSize, Opnd, Reg, Target};
 use rio_sim::Image;
 
@@ -130,29 +130,28 @@ impl Codegen {
             .set_target(Target::Instr(main_label));
         self.resolve_calls()?;
 
-        // Encode, then patch absolute addresses (function pointers, jump
-        // tables). Patching changes only fixed-width imm32 values, so
-        // offsets are stable and a single re-encode suffices.
-        let first = encode_list(&self.il, Image::CODE_BASE)?;
+        // Lay out, patch absolute addresses (function pointers, jump
+        // tables), then encode once. Patching changes only fixed-width
+        // imm32 values, so the layout's offsets stay exact.
+        let layout = ListLayout::of(&self.il, Image::CODE_BASE)?;
         for (id, name) in &self.fnaddr_patches {
             let label = self
                 .fn_labels
                 .get(name)
                 .copied()
                 .ok_or_else(|| CompileError::UnknownFunction(name.clone()))?;
-            let addr = Image::CODE_BASE + first.offset_of(label).expect("label encoded");
+            let addr = Image::CODE_BASE + layout.offset_of(label).expect("label encoded");
             self.il.get_mut(*id).set_src(0, Opnd::imm32(addr as i32));
         }
         for (table_addr, labels) in &self.table_patches {
             let mut bytes = Vec::with_capacity(labels.len() * 4);
             for l in labels {
-                let addr = Image::CODE_BASE + first.offset_of(*l).expect("label encoded");
+                let addr = Image::CODE_BASE + layout.offset_of(*l).expect("label encoded");
                 bytes.extend_from_slice(&addr.to_le_bytes());
             }
             self.data.push((*table_addr, bytes));
         }
-        let finl = encode_list(&self.il, Image::CODE_BASE)?;
-        debug_assert_eq!(first.bytes.len(), finl.bytes.len());
+        let finl = layout.encode(&self.il, Image::CODE_BASE)?;
 
         Ok(Image {
             code: finl.bytes,

@@ -5,7 +5,7 @@
 //! fragments, and never let a stale copy execute — proven by the decode
 //! verifier's stale-hit counter staying at zero.
 
-use rio_core::{Client, Core, NullClient, Options, Rio, StepBudget, StepOutcome};
+use rio_core::{Client, Core, NullClient, Options, Rio, Stats, StepBudget, StepOutcome};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compile, smc};
 
@@ -149,5 +149,50 @@ fn tiny_cache_limit_output_is_byte_identical_to_unlimited() {
         // only happen on explicit request.
         assert_eq!(bounded.stats.cache_flushes, 0, "{name}");
         assert_eq!(rio.core.machine.stale_decode_hits(), 0, "{name}");
+    }
+}
+
+#[test]
+fn decode_verifier_sees_no_stale_hit_across_emission_linking_and_smc() {
+    // The sim's decode cache creates its entries on first store; every
+    // kind of code write the engine makes (fragment emission, link and
+    // unlink patches, guest stores into application code) must still
+    // invalidate them. Both block-build paths run: Level 0 bundles for
+    // the null client, full decode for the combined client; a small cache
+    // adds evictions, which unlink both ways.
+    let mut total = Stats::default();
+    for src in [smc::patch_loop(), smc::write_then_icall()] {
+        let image = compile(&src).unwrap();
+        let native = run_native(&image, CpuKind::Pentium4);
+        for full_decode in [false, true] {
+            for cache_limit in [None, Some(128)] {
+                let mut opts = Options::full();
+                opts.trace_threshold = 2;
+                opts.cache_limit = cache_limit;
+                let (r, stale) = if full_decode {
+                    let client = rio_clients::Combined::new();
+                    let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, client);
+                    rio.core.machine.set_verify_decodes(true);
+                    (rio.run(), rio.core.machine.stale_decode_hits())
+                } else {
+                    let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
+                    rio.core.machine.set_verify_decodes(true);
+                    (rio.run(), rio.core.machine.stale_decode_hits())
+                };
+                let what = format!("full decode {full_decode}, limit {cache_limit:?}");
+                assert_eq!(r.app_output, native.output, "{what}");
+                assert_eq!(stale, 0, "{what}: stale decode executed");
+                total.merge(&r.stats);
+            }
+        }
+    }
+    for (what, n) in [
+        ("links", total.links),
+        ("traces", total.traces_built),
+        ("evictions", total.evictions),
+        ("code writes", total.code_writes),
+        ("invalidations", total.invalidations),
+    ] {
+        assert!(n > 0, "no {what}: {total}");
     }
 }
