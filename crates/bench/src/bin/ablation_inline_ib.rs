@@ -33,7 +33,7 @@ fn main() {
         let mut opts = Options::full();
         opts.inline_ib_target = inline;
         let r = run_config(&benches[bi].1, opts, kind, ClientKind::Null);
-        r.cycles as f64 / natives[bi] as f64
+        r.counters.cycles as f64 / natives[bi] as f64
     });
 
     println!("Inline IB target check: normalized execution time (geomean, full system)");

@@ -34,7 +34,7 @@ fn main() {
         let mut opts = Options::full();
         opts.trace_threshold = thresholds[t];
         let r = run_config(&benches[bi].1, opts, kind, ClientKind::Null);
-        r.cycles as f64 / natives[bi] as f64
+        r.counters.cycles as f64 / natives[bi] as f64
     });
 
     println!("Trace-threshold sweep: normalized execution time (geomean, full system)");

@@ -45,7 +45,7 @@ fn main() {
             b.name,
             client
         );
-        r.cycles as f64 / *native as f64
+        r.counters.cycles as f64 / *native as f64
     });
 
     println!("Figure 5: normalized execution time (RIO / native; smaller is better)");

@@ -33,7 +33,7 @@ fn main() {
             r.stats.traces_built,
             r.stats.links,
             r.stats.ib_lookups,
-            r.cycles as f64 / native.cycles as f64,
+            r.counters.cycles as f64 / native.cycles as f64,
         );
     }
 

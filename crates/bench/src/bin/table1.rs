@@ -48,7 +48,7 @@ fn main() {
             b.name,
             rows[r].1
         );
-        res.cycles as f64 / *native as f64
+        res.counters.cycles as f64 / *native as f64
     });
 
     println!("Table 1: normalized execution time (vs native)");

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use rio_clients::{CTrace, Combined, IbDispatch, Inc2Add, Rlr};
 use rio_core::{NullClient, Options, Rio, RioRunResult, Stats};
-use rio_sim::{run_native, CpuKind, Image};
+use rio_sim::{run_native, Counters, CpuKind, Image};
 
 /// Which client to couple with the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,10 +57,9 @@ impl ClientKind {
 /// Result of one engine run.
 #[derive(Clone, Debug)]
 pub struct ConfigResult {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Application instructions executed in cache/emulation.
-    pub instructions: u64,
+    /// Machine counters: simulated cycles, application instructions
+    /// executed in cache/emulation, predictor and memory counts.
+    pub counters: Counters,
     /// Engine statistics.
     pub stats: Stats,
     /// Exit code (for output validation).
@@ -76,8 +75,7 @@ pub struct ConfigResult {
 impl From<RioRunResult> for ConfigResult {
     fn from(r: RioRunResult) -> ConfigResult {
         ConfigResult {
-            cycles: r.counters.cycles,
-            instructions: r.counters.instructions,
+            counters: r.counters,
             stats: r.stats,
             exit_code: r.exit_code,
             output: r.app_output,
@@ -113,7 +111,9 @@ pub fn run_config(
 
 /// Convenience: cycles of a full-system run with a client.
 pub fn rio_cycles(image: &Image, kind: CpuKind, client: ClientKind) -> u64 {
-    run_config(image, Options::full(), kind, client).cycles
+    run_config(image, Options::full(), kind, client)
+        .counters
+        .cycles
 }
 
 // ----- parallel suite runner ----------------------------------------------

@@ -440,8 +440,8 @@ fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
             "{:<10} {:>12} {:>12} {:>8.3}{}",
             name,
             native,
-            r.cycles,
-            r.cycles as f64 / *native as f64,
+            r.counters.cycles,
+            r.counters.cycles as f64 / *native as f64,
             marker
         );
         failed += usize::from(*diverged || r.fault.is_some());

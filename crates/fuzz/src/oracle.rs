@@ -36,7 +36,9 @@ pub enum EngineConfig {
     /// every engine safe point is crossed suspended.
     Stepped,
     /// Full system with incremental verification at every safe point plus
-    /// a final whole-cache sweep; violations fail the comparison.
+    /// a final whole-cache sweep, and every reused interpreter decode
+    /// checked against memory; violations and stale decodes fail the
+    /// comparison.
     Verified,
 }
 
@@ -233,6 +235,9 @@ pub fn run_engine(image: &Image, cfg: FuzzConfig, cpu: CpuKind) -> Outcome {
         client: C,
     ) -> Outcome {
         let mut rio = Rio::new(image, opts, cpu, client);
+        // The verified point also proves every decode the interpreter
+        // reuses against the live memory bytes.
+        rio.core.machine.set_verify_decodes(sweep);
         let result = if stepped {
             loop {
                 match rio.step(StepBudget::instructions(1)) {
@@ -251,6 +256,7 @@ pub fn run_engine(image: &Image, cfg: FuzzConfig, cpu: CpuKind) -> Outcome {
         let mut violations = result.stats.violations;
         if sweep {
             violations += rio.core.verify_cache().len() as u64;
+            violations += rio.core.machine.stale_decode_hits();
         }
         Outcome {
             exit_code: result.exit_code,

@@ -258,7 +258,10 @@ pub(crate) fn alu_shl(a: u32, count: u32, size: OpSize) -> AluOut {
     let a = a & m;
     let res = (a << count) & m;
     let mut f = szp_flags(res, size);
-    let cf = (a >> (width_bits(size) - count)) & 1;
+    // CF is architecturally undefined once `count` exceeds the operand
+    // width (8/16-bit forms take counts up to 31); the wrapping shift
+    // keeps the value this model has always produced, without overflow.
+    let cf = a.wrapping_shr(width_bits(size).wrapping_sub(count)) & 1;
     if cf != 0 {
         f |= Eflags::CF.0;
     }
@@ -300,6 +303,16 @@ pub(crate) fn alu_sar(a: u32, count: u32, size: OpSize) -> AluOut {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn narrow_shift_left_past_the_operand_width_does_not_overflow() {
+        for size in [OpSize::S8, OpSize::S16] {
+            for count in 1..32 {
+                let (r, _) = alu_shl(0xFFFF, count, size);
+                assert_eq!(r, (0xFFFF << count) & mask_of(size));
+            }
+        }
+    }
 
     #[test]
     fn add_flags() {

@@ -104,6 +104,84 @@ const DCACHE_CHUNK: usize = 1 << DCACHE_CHUNK_BITS;
 /// starting as far back as `addr - MAX_INSTR_BYTES + 1`.
 const MAX_INSTR_BYTES: u32 = 16;
 
+/// Host-side decode-cache statistics (see [`Machine::decode_stats`]).
+///
+/// They describe how the interpreter spent host time, not the simulated
+/// program, so they are kept out of [`Counters`] and every
+/// deterministic report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodeStats {
+    /// Instruction fetches served by a cached decode.
+    pub hits: u64,
+    /// Instruction fetches decoded from memory (including re-decodes of a
+    /// stale hit under verification, and bytes that failed to decode).
+    pub misses: u64,
+    /// Writes (interpreted guest stores and
+    /// [`Machine::invalidate_code_range`] calls) whose pages held a cached
+    /// decode, so the slots they may overlap were probed.
+    pub range_invalidations: u64,
+    /// Writes whose pages held no cached decode, so no slot was probed.
+    pub stores_skipped: u64,
+}
+
+const PAGE_SHIFT: u32 = 12;
+/// Pages in the 4 GiB address space.
+const PAGES: u64 = 1 << (32 - PAGE_SHIFT);
+/// Words per code-page leaf: 16 × 64 bits cover 1024 pages (4 MiB).
+const LEAF_WORDS: usize = 16;
+const LEAF_SHIFT: u32 = 10;
+
+/// One bit per 4 KiB page that holds any byte of a cached decode, as a
+/// two-level bitmap: a 1024-entry directory (allocated on the first mark)
+/// of 16-word leaves (allocated on the first mark in their 4 MiB).
+///
+/// Bits are only ever set, so the map is a superset of the pages of the
+/// live decodes: a write to unmarked pages cannot stale any decode.
+#[derive(Default)]
+struct CodePages {
+    dir: Vec<Option<Box<[u64; LEAF_WORDS]>>>,
+}
+
+impl CodePages {
+    /// Mark every page holding a byte of `[addr, addr + len)` (wrapping).
+    fn mark_range(&mut self, addr: u32, len: u32) {
+        for page in pages(addr, len) {
+            if self.dir.is_empty() {
+                self.dir = vec![None; 1 << LEAF_SHIFT];
+            }
+            let leaf = self.dir[(page >> LEAF_SHIFT) as usize].get_or_insert_with(Default::default);
+            leaf[((page >> 6) as usize) & (LEAF_WORDS - 1)] |= 1 << (page & 63);
+        }
+    }
+
+    fn marked(&self, page: u32) -> bool {
+        match self.dir.get((page >> LEAF_SHIFT) as usize) {
+            Some(Some(leaf)) => {
+                leaf[((page >> 6) as usize) & (LEAF_WORDS - 1)] >> (page & 63) & 1 != 0
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether any page holding a byte of `[addr, addr + len)` (wrapping)
+    /// is marked.
+    fn any_marked(&self, addr: u32, len: u32) -> bool {
+        pages(addr, len).any(|page| self.marked(page))
+    }
+}
+
+/// The pages holding the bytes of `[addr, addr + len)`, wrapping past
+/// `0xFFFF_FFFF` exactly as memory accesses do.
+fn pages(addr: u32, len: u32) -> impl Iterator<Item = u32> {
+    let first = u64::from(addr >> PAGE_SHIFT);
+    let span = if len == 0 {
+        0
+    } else {
+        ((u64::from(addr & ((1 << PAGE_SHIFT) - 1)) + u64::from(len) - 1) >> PAGE_SHIFT) + 1
+    };
+    (first..first + span.min(PAGES)).map(|p| (p % PAGES) as u32)
+}
+
 #[derive(Clone, Copy)]
 struct DecodeCacheEntry {
     pc: u32,
@@ -121,16 +199,21 @@ type DecodeChunk = [Option<DecodeCacheEntry>; DCACHE_CHUNK];
 /// The `DCACHE_SIZE` slots are grouped into chunks of `DCACHE_CHUNK` that
 /// come into existence when a decode is first stored in one, so a machine
 /// that runs little code never allocates or clears the whole cache.
+#[derive(Default)]
 struct DecodeCache {
     chunks: Vec<Option<Box<DecodeChunk>>>,
     version: u64,
+    /// The pages holding cached decodes, so that writes to data pages skip
+    /// the slot probes.
+    pages: CodePages,
+    stats: DecodeStats,
 }
 
 impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
             chunks: vec![None; DCACHE_SIZE / DCACHE_CHUNK],
-            version: 0,
+            ..DecodeCache::default()
         }
     }
 
@@ -147,29 +230,42 @@ impl DecodeCache {
         }
     }
 
-    fn put(&mut self, pc: u32, bytes: [u8; 16], lowered: Lowered) {
+    fn put(&mut self, pc: u32, bytes: [u8; 16], lowered: Lowered) -> &Lowered {
+        self.pages.mark_range(pc, lowered.len);
         let i = Self::index(pc);
         let chunk = self.chunks[i >> DCACHE_CHUNK_BITS]
             .get_or_insert_with(|| Box::new([None; DCACHE_CHUNK]));
-        chunk[i & (DCACHE_CHUNK - 1)] = Some(DecodeCacheEntry {
-            pc,
-            version: self.version,
-            bytes,
-            lowered,
-        });
+        &chunk[i & (DCACHE_CHUNK - 1)]
+            .insert(DecodeCacheEntry {
+                pc,
+                version: self.version,
+                bytes,
+                lowered,
+            })
+            .lowered
     }
 
     fn invalidate_all(&mut self) {
         self.version += 1;
     }
 
-    /// Drop every cached decode whose bytes may overlap `[start, end)`.
-    /// A decode starting at `pc` covers at most `[pc, pc + 16)`, so only
-    /// pcs in `[start - 15, end)` can be affected; each lives at its own
-    /// direct-mapped slot, so the walk is bounded by `len + 15` probes.
-    fn invalidate_range(&mut self, start: u32, end: u32) {
-        let lo = start.saturating_sub(MAX_INSTR_BYTES - 1);
-        for pc in lo..end {
+    /// Drop every cached decode whose bytes may overlap the `len` bytes
+    /// from `start` (wrapping past `0xFFFF_FFFF`, as memory does). Nothing
+    /// is probed unless one of their pages holds a cached decode. A decode
+    /// starting at `pc` covers at most `[pc, pc + 16)`, so only the pcs
+    /// from `start - 15` up to the last written byte can be affected; each
+    /// lives at its own direct-mapped slot, so the walk is bounded by
+    /// `len + 15` probes.
+    fn invalidate_range(&mut self, start: u32, len: u32) {
+        if !self.pages.any_marked(start, len) {
+            self.stats.stores_skipped += 1;
+            return;
+        }
+        self.stats.range_invalidations += 1;
+        let lo = start.wrapping_sub(MAX_INSTR_BYTES - 1);
+        let probes = (u64::from(len) + u64::from(MAX_INSTR_BYTES - 1)).min(1 << 32);
+        for k in 0..probes {
+            let pc = lo.wrapping_add(k as u32);
             let i = Self::index(pc);
             let Some(chunk) = self.chunks[i >> DCACHE_CHUNK_BITS].as_deref_mut() else {
                 continue;
@@ -209,6 +305,10 @@ pub struct Machine {
     /// Store into a watched region recorded by the current instruction
     /// (`(addr, len)`), turned into an exit at the end of the step.
     step_code_write: Option<(u32, u32)>,
+    /// Stores (`(addr, len)`) made by the current instruction, applied to
+    /// the decode cache once it has finished: it executes a decode borrowed
+    /// from the cache, and nothing reads the cache inside an instruction.
+    pending_stores: Vec<(u32, u32)>,
     /// When set, every decode-cache hit is re-verified against the live
     /// memory bytes; mismatches count in `stale_decode_hits`.
     verify_decodes: bool,
@@ -237,6 +337,7 @@ impl Machine {
             inject: None,
             watches: Vec::new(),
             step_code_write: None,
+            pending_stores: Vec::new(),
             verify_decodes: false,
             stale_decode_hits: 0,
             step_loads: 0,
@@ -308,6 +409,12 @@ impl Machine {
         self.stale_decode_hits
     }
 
+    /// Decode-cache hit, miss and invalidation counts since the machine was
+    /// created. Host-side only: they never enter [`Counters`] or cycles.
+    pub fn decode_stats(&self) -> DecodeStats {
+        self.dcache.stats
+    }
+
     /// FNV-1a digest of the application-visible machine state: the eight
     /// general-purpose registers plus the current bytes of every data
     /// segment the image declared (globals and arrays). `eip` is excluded
@@ -371,16 +478,13 @@ impl Machine {
         self.dcache.invalidate_all();
     }
 
-    /// Invalidate decoded instructions overlapping `[addr, addr + len)`.
-    /// Must be called after any write to memory that may hold code; cost is
-    /// bounded by `len + 15` cache probes, so hot emit/patch paths no
-    /// longer wipe unrelated decodes.
+    /// Invalidate decoded instructions overlapping `[addr, addr + len)`
+    /// (wrapping past `0xFFFF_FFFF`, as memory does). Must be called after
+    /// any write to memory that may hold code; cost is bounded by
+    /// `len + 15` cache probes, and none when no page of the range holds a
+    /// decode, so hot emit/patch paths never wipe unrelated decodes.
     pub fn invalidate_code_range(&mut self, addr: u32, len: u32) {
-        self.dcache.invalidate_range(addr, addr.saturating_add(len));
-    }
-
-    fn in_region(&self, pc: u32) -> bool {
-        self.regions.iter().any(|r| r.contains(pc))
+        self.dcache.invalidate_range(addr, len);
     }
 
     /// Run until an exit condition with a default fuel of 2^44 steps.
@@ -390,21 +494,49 @@ impl Machine {
 
     /// Run at most `max_steps` instructions.
     pub fn run_steps(&mut self, max_steps: u64) -> CpuExit {
-        for _ in 0..max_steps {
-            if !self.in_region(self.cpu.eip) {
-                return CpuExit::OutOfRegion(self.cpu.eip);
-            }
-            if let Some(exit) = self.step() {
-                return exit;
-            }
-        }
-        CpuExit::FuelExhausted
+        self.with_dcache(|m, dcache| m.run_in(dcache, max_steps))
     }
 
     /// Execute exactly one instruction (region checks are the caller's
     /// responsibility). Returns `Some(exit)` if the instruction stops
     /// execution.
     pub fn step(&mut self) -> Option<CpuExit> {
+        self.with_dcache(Machine::step_in)
+    }
+
+    /// Run `f` with the decode cache taken out of `self`, so that each
+    /// instruction executes a decode borrowed from the cache in place
+    /// (`self.dcache` is an empty placeholder meanwhile).
+    fn with_dcache<R>(&mut self, f: impl FnOnce(&mut Machine, &mut DecodeCache) -> R) -> R {
+        let mut dcache = std::mem::take(&mut self.dcache);
+        let r = f(self, &mut dcache);
+        self.dcache = dcache;
+        r
+    }
+
+    fn run_in(&mut self, dcache: &mut DecodeCache, max_steps: u64) -> CpuExit {
+        // The region holding `eip`, rescanned only when `eip` leaves it
+        // (the regions cannot change while the machine runs).
+        let mut region = ExecRegion::new(0, 0);
+        for _ in 0..max_steps {
+            let pc = self.cpu.eip;
+            if !region.contains(pc) {
+                match self.regions.iter().find(|r| r.contains(pc)) {
+                    Some(r) => region = *r,
+                    None => return CpuExit::OutOfRegion(pc),
+                }
+            }
+            if let Some(exit) = self.step_in(dcache) {
+                return exit;
+            }
+        }
+        CpuExit::FuelExhausted
+    }
+
+    /// Fetch, execute and retire the instruction at `eip`: the one
+    /// execution path behind [`Machine::step`] and [`Machine::run_steps`].
+    #[inline(always)]
+    fn step_in(&mut self, dcache: &mut DecodeCache) -> Option<CpuExit> {
         let pc = self.cpu.eip;
         if let Some((at, kind)) = self.inject {
             if self.counters.instructions >= at {
@@ -412,46 +544,64 @@ impl Machine {
                 return Some(CpuExit::Fault { kind, pc, addr: pc });
             }
         }
-        let cached = match self.dcache.get(pc) {
-            Some(e) if !self.verify_decodes => Some(e.lowered),
-            Some(e) => {
+        let exit = match self.fetch(dcache, pc) {
+            Ok(l) => self.exec(pc, l),
+            Err(fault) => return Some(fault),
+        };
+        if !self.pending_stores.is_empty() {
+            for (addr, len) in self.pending_stores.drain(..) {
+                dcache.invalidate_range(addr, len);
+            }
+        }
+        exit
+    }
+
+    /// The decode of the instruction at `pc`, from the cache or freshly
+    /// decoded from memory (and then cached).
+    #[inline(always)]
+    fn fetch<'d>(&mut self, dcache: &'d mut DecodeCache, pc: u32) -> Result<&'d Lowered, CpuExit> {
+        let hit = match dcache.get(pc) {
+            Some(e) if self.verify_decodes => {
                 // Verification mode: prove the hit against live memory.
                 let len = e.lowered.len as usize;
                 let mut buf = [0u8; 16];
                 self.mem.read_bytes(pc, &mut buf[..len]);
-                if buf[..len] == e.bytes[..len] {
-                    Some(e.lowered)
-                } else {
+                let fresh = buf[..len] == e.bytes[..len];
+                if !fresh {
                     self.stale_decode_hits += 1;
-                    None
                 }
+                fresh
             }
-            None => None,
+            Some(_) => true,
+            None => false,
         };
-        let lowered = match cached {
-            Some(l) => l,
-            None => {
-                let mut buf = [0u8; 16];
-                self.mem.read_bytes(pc, &mut buf);
-                match decode_instr(&buf, pc) {
-                    Ok((instr, len)) => {
-                        let l = lower(&instr, len);
-                        self.dcache.put(pc, buf, l);
-                        l
-                    }
-                    Err(_) => {
-                        return Some(CpuExit::Fault {
-                            kind: FaultKind::InvalidOpcode,
-                            pc,
-                            addr: pc,
-                        });
-                    }
-                }
-            }
-        };
-        self.exec(pc, &lowered)
+        if !hit {
+            return self.decode(dcache, pc);
+        }
+        dcache.stats.hits += 1;
+        match dcache.get(pc) {
+            Some(e) => Ok(&e.lowered),
+            None => unreachable!("a hit at {pc:#x} is cached"),
+        }
     }
 
+    /// Decode the instruction at `pc` from memory into the cache.
+    #[cold]
+    fn decode<'d>(&mut self, dcache: &'d mut DecodeCache, pc: u32) -> Result<&'d Lowered, CpuExit> {
+        dcache.stats.misses += 1;
+        let mut buf = [0u8; 16];
+        self.mem.read_bytes(pc, &mut buf);
+        let Ok((instr, len)) = decode_instr(&buf, pc) else {
+            return Err(CpuExit::Fault {
+                kind: FaultKind::InvalidOpcode,
+                pc,
+                addr: pc,
+            });
+        };
+        Ok(dcache.put(pc, buf, lower(&instr, len)))
+    }
+
+    #[inline(always)]
     fn addr_of(&self, m: &MemRef) -> u32 {
         let base = m.base.map_or(0, |r| self.cpu.reg(r));
         let index = m.index.map_or(0, |r| self.cpu.reg(r));
@@ -505,6 +655,7 @@ impl Machine {
         None
     }
 
+    #[inline(always)]
     fn read(&mut self, op: &LOpnd) -> u32 {
         match op {
             LOpnd::Reg(r) => self.cpu.reg(*r),
@@ -523,18 +674,25 @@ impl Machine {
         }
     }
 
-    /// Bookkeeping for every interpreted guest store: keep the decode
-    /// cache coherent with the written bytes (so self-modifying code is
-    /// correct in every mode, with no manual invalidation), and flag
-    /// stores that land in a watched code region.
+    /// Bookkeeping for every interpreted guest store: queue the written
+    /// bytes for decode-cache invalidation at the end of the instruction
+    /// (so self-modifying code is correct in every mode, with no manual
+    /// invalidation), and flag stores that land in a watched code region.
+    /// Like the store itself, the range wraps past `0xFFFF_FFFF`.
+    #[inline(always)]
     fn note_store(&mut self, addr: u32, bytes: u32) {
         self.step_stores += 1;
-        let end = addr.saturating_add(bytes);
-        self.dcache.invalidate_range(addr, end);
-        if self.watches.iter().any(|w| addr < w.end && end > w.start) {
+        self.pending_stores.push((addr, bytes));
+        let overlaps = |w: &ExecRegion| {
+            w.start < w.end
+                && (addr.wrapping_sub(w.start) < w.end - w.start
+                    || w.start.wrapping_sub(addr) < bytes)
+        };
+        if self.watches.iter().any(overlaps) {
             self.step_code_write = Some(match self.step_code_write {
                 None => (addr, bytes),
                 Some((a0, l0)) => {
+                    let end = addr.saturating_add(bytes);
                     let lo = a0.min(addr);
                     let hi = (a0.saturating_add(l0)).max(end);
                     (lo, hi - lo)
@@ -543,6 +701,7 @@ impl Machine {
         }
     }
 
+    #[inline(always)]
     fn write(&mut self, op: &LOpnd, v: u32) {
         match op {
             LOpnd::Reg(r) => self.cpu.set_reg(*r, v),
@@ -559,6 +718,7 @@ impl Machine {
         }
     }
 
+    #[inline(always)]
     fn push32(&mut self, v: u32) {
         let esp = self.cpu.reg(Reg::Esp).wrapping_sub(4);
         self.cpu.set_reg(Reg::Esp, esp);
@@ -566,6 +726,7 @@ impl Machine {
         self.mem.write_u32(esp, v);
     }
 
+    #[inline(always)]
     fn pop32(&mut self) -> u32 {
         let esp = self.cpu.reg(Reg::Esp);
         self.step_loads += 1;
@@ -1349,9 +1510,11 @@ mod tests {
         let chunks = |m: &Machine| m.dcache.chunks.iter().filter(|c| c.is_some()).count();
         let mut m = Machine::new(CpuKind::Pentium4);
         assert_eq!(chunks(&m), 0);
-        // Invalidating never-decoded code allocates nothing.
+        // Invalidating never-decoded code allocates nothing, not even the
+        // code-page map's directory.
         m.invalidate_code_range(Image::CODE_BASE, 4096);
         assert_eq!(chunks(&m), 0);
+        assert!(m.dcache.pages.dir.is_empty());
 
         // A loop whose body (one-byte `inc`s) spans several chunks, each
         // covering DCACHE_CHUNK consecutive pcs.
@@ -1382,6 +1545,239 @@ mod tests {
         assert!(used >= 2, "{used}");
         assert!(used <= code.len() / DCACHE_CHUNK + 2, "{used}");
         assert!(used < DCACHE_SIZE / DCACHE_CHUNK);
+    }
+
+    /// Encode `il` at `pc` and write it into `m`'s memory.
+    fn place(m: &mut Machine, pc: u32, il: &InstrList) -> u32 {
+        let code = encode_list(il, pc).unwrap().bytes;
+        m.mem.write_bytes(pc, &code);
+        code.len() as u32
+    }
+
+    fn mov_eax(v: u32) -> InstrList {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(v as i32)));
+        il
+    }
+
+    #[test]
+    fn stores_wrapping_past_the_top_of_memory_invalidate_and_are_watched() {
+        // `mov eax, 1` at 0xFFFF_FFFD: its immediate wraps to 0x0..0x1.
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.set_verify_decodes(true);
+        let mov = 0xFFFF_FFFD;
+        assert_eq!(place(&mut m, mov, &mov_eax(1)), 5);
+        m.cpu.eip = mov;
+        assert_eq!(m.step(), None);
+        assert_eq!(m.cpu.reg(Reg::Eax), 1);
+        // `push ebx` with esp = 4 writes 0x0..0x3, over the immediate's
+        // top two bytes.
+        let mut push = InstrList::new();
+        push.push_back(create::push(Opnd::reg(Reg::Ebx)));
+        place(&mut m, 0x1000, &push);
+        m.cpu.set_reg(Reg::Ebx, 0x0303);
+        m.cpu.set_reg(Reg::Esp, 4);
+        m.cpu.eip = 0x1000;
+        assert_eq!(m.step(), None);
+        m.cpu.eip = mov;
+        assert_eq!(m.step(), None);
+        assert_eq!(m.cpu.reg(Reg::Eax), 0x0303_0001);
+        assert_eq!(m.stale_decode_hits(), 0);
+
+        // A store wrapping onto a watched region at address 0 is reported.
+        m.set_watch_regions(vec![ExecRegion::new(0, 0x10)]);
+        m.cpu.set_reg(Reg::Esp, 2);
+        m.cpu.eip = 0x1000;
+        assert_eq!(
+            m.step(),
+            Some(CpuExit::CodeWrite {
+                pc: 0x1000,
+                addr: 0xFFFF_FFFE,
+                len: 4,
+            })
+        );
+    }
+
+    #[test]
+    fn data_only_stores_skip_every_invalidation_probe() {
+        // Store ebx to a data word and push/pop it 200 times.
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(200)));
+        let top = il.push_back(create::label());
+        il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(Image::DATA_BASE, OpSize::S32)),
+            Opnd::reg(Reg::Ebx),
+        ));
+        il.push_back(create::push(Opnd::reg(Reg::Ebx)));
+        il.push_back(create::pop(Opnd::reg(Reg::Ecx)));
+        il.push_back(create::dec(Opnd::reg(Reg::Ebx)));
+        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
+        j.set_target(Target::Instr(top));
+        il.push_back(j);
+        il.push_back(create::hlt());
+        let (m, exit) = run_program(&il);
+        assert_eq!(exit, CpuExit::Halt);
+        assert_eq!(m.counters.stores, 400);
+        let stats = m.decode_stats();
+        assert_eq!(stats.stores_skipped, 400);
+        assert_eq!(stats.range_invalidations, 0);
+        // Seven distinct pcs decode once each; every other fetch hits.
+        assert_eq!(stats.misses, 7);
+        assert_eq!(stats.hits + stats.misses, m.counters.instructions);
+    }
+
+    #[test]
+    fn store_into_the_second_page_of_a_straddling_decode_invalidates_it() {
+        // `mov eax, 1` two bytes before a page boundary: opcode and one
+        // immediate byte on the first page, three immediate bytes on the
+        // second.
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.set_verify_decodes(true);
+        let page = 0x0040_1000;
+        let mov = page - 2;
+        place(&mut m, mov, &mov_eax(1));
+        let mut store = InstrList::new();
+        store.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(page + 1, OpSize::S8)),
+            Opnd::reg(Reg::Bl),
+        ));
+        place(&mut m, 0x0800_0000, &store);
+        m.cpu.eip = mov;
+        assert_eq!(m.step(), None);
+        m.cpu.set_reg(Reg::Ebx, 0x7f);
+        m.cpu.eip = 0x0800_0000;
+        assert_eq!(m.step(), None);
+        assert_eq!(m.decode_stats().range_invalidations, 1);
+        m.cpu.eip = mov;
+        assert_eq!(m.step(), None);
+        assert_eq!(m.cpu.reg(Reg::Eax), 0x007f_0001);
+        assert_eq!(m.stale_decode_hits(), 0);
+        assert_eq!(m.decode_stats().misses, 3);
+    }
+
+    #[test]
+    fn step_and_run_steps_of_one_agree() {
+        // Calls, stores, loads and a self-patching store, with both
+        // machines checked after every instruction.
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Ecx), Opnd::imm32(30)));
+        let top = il.push_back(create::label());
+        let call = il.push_back(create::call(Target::Pc(0)));
+        il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(Image::DATA_BASE, OpSize::S32)),
+            Opnd::reg(Reg::Eax),
+        ));
+        let patch = il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(0, OpSize::S32)), // fixed up below
+            Opnd::reg(Reg::Ecx),
+        ));
+        il.push_back(create::dec(Opnd::reg(Reg::Ecx)));
+        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
+        j.set_target(Target::Instr(top));
+        il.push_back(j);
+        il.push_back(create::hlt());
+        let f = il.push_back(create::label());
+        il.push_back(create::add(Opnd::reg(Reg::Eax), Opnd::imm32(1000)));
+        let ret = il.push_back(create::ret());
+        il.get_mut(call).set_target(Target::Instr(f));
+        // The add's imm32 occupies the 4 bytes before the `ret`.
+        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
+        let imm = Image::CODE_BASE + enc.offset_of(ret).unwrap() - 4;
+        il.get_mut(patch)
+            .set_dst(0, Opnd::Mem(MemRef::absolute(imm, OpSize::S32)));
+        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
+        let mut a = Machine::new(CpuKind::Pentium4);
+        let mut b = Machine::new(CpuKind::Pentium4);
+        for m in [&mut a, &mut b] {
+            m.load_image(&Image::from_code(code.clone()));
+            m.set_verify_decodes(true);
+        }
+        loop {
+            let ea = a.step();
+            let eb = match b.run_steps(1) {
+                CpuExit::FuelExhausted => None,
+                e => Some(e),
+            };
+            assert_eq!(ea, eb);
+            assert_eq!(a.cpu.eip, b.cpu.eip);
+            assert_eq!(a.counters, b.counters);
+            assert_eq!(a.decode_stats(), b.decode_stats());
+            if ea.is_some() {
+                break;
+            }
+        }
+        let image = Image::from_code(code);
+        assert_eq!(a.app_state_digest(&image), b.app_state_digest(&image));
+        assert_eq!(a.mem.read_u32(imm), b.mem.read_u32(imm));
+        assert_eq!(a.stale_decode_hits() + b.stale_decode_hits(), 0);
+        assert!(a.decode_stats().range_invalidations >= 30);
+    }
+
+    #[test]
+    fn random_stores_near_code_and_page_boundaries_leave_no_stale_decode() {
+        // Code straddles two page boundaries and the top of memory; random
+        // 1-, 2- and 4-byte stores land on and around it, and every byte
+        // of it is executed as an instruction start in between.
+        let areas = [0x0040_0FF0u32, 0x0040_1FF8, 0xFFFF_FFF0];
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.set_verify_decodes(true);
+        for &base in &areas {
+            let mut il = InstrList::new();
+            for k in 0..8 {
+                il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(k)));
+            }
+            place(&mut m, base, &il);
+        }
+        let writer = 0x0800_0000;
+        let mut stores = InstrList::new();
+        stores.push_back(create::mov(
+            Opnd::Mem(MemRef::base_disp(Reg::Ebx, 0, OpSize::S8)),
+            Opnd::reg(Reg::Cl),
+        ));
+        stores.push_back(create::mov(
+            Opnd::Mem(MemRef::base_disp(Reg::Ebx, 0, OpSize::S16)),
+            Opnd::reg(Reg::Cx),
+        ));
+        stores.push_back(create::mov(
+            Opnd::Mem(MemRef::base_disp(Reg::Ebx, 0, OpSize::S32)),
+            Opnd::reg(Reg::Ecx),
+        ));
+        let enc = encode_list(&stores, writer).unwrap();
+        let starts: Vec<u32> = stores
+            .ids()
+            .map(|id| writer + enc.offset_of(id).unwrap())
+            .collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..4000 {
+            let area = areas[(next() % 3) as usize];
+            // Fetch (and execute) a few instruction starts in the area.
+            for _ in 0..4 {
+                m.cpu.eip = area.wrapping_add((next() % 40) as u32);
+                m.cpu.set_reg(Reg::Esp, 0x0700_0000);
+                let _ = m.step();
+            }
+            // Re-place the writer in case the step wrote over it, then
+            // store a random value at -16..56 bytes from the area start.
+            m.mem.write_bytes(writer, &enc.bytes);
+            m.invalidate_code_range(writer, enc.bytes.len() as u32);
+            m.cpu.set_reg(
+                Reg::Ebx,
+                area.wrapping_add((next() % 72) as u32).wrapping_sub(16),
+            );
+            m.cpu.set_reg(Reg::Ecx, next() as u32);
+            m.cpu.eip = starts[(next() % 3) as usize];
+            assert_eq!(m.step(), None);
+        }
+        assert_eq!(m.stale_decode_hits(), 0);
+        let stats = m.decode_stats();
+        assert!(stats.range_invalidations > 1000, "{stats:?}");
+        assert!(stats.hits > 1000, "{stats:?}");
     }
 
     #[test]

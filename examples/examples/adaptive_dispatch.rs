@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = run_config(&image, Options::full(), CpuKind::Pentium4, ClientKind::Null);
     println!(
         "base RIO:       {:.3}x native, {} hashtable lookups",
-        base.cycles as f64 / native.counters.cycles as f64,
+        base.counters.cycles as f64 / native.counters.cycles as f64,
         base.stats.ib_lookups
     );
 

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = run_config(&image, Options::full(), CpuKind::Pentium4, ClientKind::Null);
     println!(
         "standard traces: {:.3}x native, {} ib lookups",
-        base.cycles as f64 / native.counters.cycles as f64,
+        base.counters.cycles as f64 / native.counters.cycles as f64,
         base.stats.ib_lookups
     );
 

@@ -63,7 +63,7 @@ fn parallel_runner_is_job_count_invariant() {
                 CpuKind::Pentium4,
                 ClientKind::Combined,
             );
-            (r.cycles, r.instructions, r.exit_code, r.stats)
+            (r.counters, r.exit_code, r.stats)
         })
     };
     let serial = run(1);
@@ -90,15 +90,15 @@ fn bounded_cache_fifo_eviction_is_job_count_invariant() {
     let run = |jobs: usize| {
         run_parallel(&benches, jobs, |_, (_, image)| {
             let r = run_config(image, opts, CpuKind::Pentium4, ClientKind::Combined);
-            (r.cycles, r.instructions, r.exit_code, r.stats)
+            (r.counters, r.exit_code, r.stats)
         })
     };
     let serial = run(1);
     assert!(
-        serial.iter().any(|(_, _, _, s)| s.evictions > 0),
+        serial.iter().any(|(_, _, s)| s.evictions > 0),
         "limit never forced an eviction"
     );
-    assert!(serial.iter().all(|(_, _, _, s)| s.cache_flushes == 0));
+    assert!(serial.iter().all(|(_, _, s)| s.cache_flushes == 0));
     for jobs in [2, 4] {
         assert_eq!(run(jobs), serial, "jobs={jobs} changed eviction behavior");
     }
